@@ -665,6 +665,18 @@ fn alloc_of(flags: &HashMap<String, String>) -> AllocatorKind {
         .unwrap_or(AllocatorKind::TbbMalloc)
 }
 
+/// Parse `--threads N` (default 8). A count outside 1..=cores exits 2
+/// with one line instead of panicking inside `Sim::run`.
+fn threads_of(flags: &HashMap<String, String>) -> usize {
+    match flags.get("threads") {
+        None => 8,
+        Some(v) => tm_core::sweeps::parse_threads(v).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }),
+    }
+}
+
 fn backend_of(flags: &HashMap<String, String>) -> tm_stm::BackendKind {
     match flags.get("backend") {
         None => tm_stm::BackendKind::Etl,
@@ -729,7 +741,7 @@ fn synth(flags: &HashMap<String, String>) {
         Some("rbtree") | Some("tree") | None => StructureKind::RbTree,
         Some(other) => panic!("unknown structure '{other}'"),
     };
-    let mut cfg = SyntheticConfig::scaled(structure, alloc_of(flags), get(flags, "threads", 8));
+    let mut cfg = SyntheticConfig::scaled(structure, alloc_of(flags), threads_of(flags));
     cfg.update_pct = get(flags, "update-pct", 60);
     cfg.shift = get(flags, "shift", 5);
     cfg.object_cache = flags.contains_key("object-cache");
@@ -781,7 +793,7 @@ fn stamp(flags: &HashMap<String, String>) {
         ..StampOpts::default()
     };
     let scale = get(flags, "scale", 2u64);
-    let threads = get(flags, "threads", 8usize);
+    let threads = threads_of(flags);
     let a = make_app(app, scale, opts.seed);
     println!(
         "app: {} | alloc: {} | threads: {threads} | scale: {scale}\n",
@@ -805,7 +817,7 @@ fn stamp(flags: &HashMap<String, String>) {
 fn threadtest(flags: &HashMap<String, String>) {
     let r = run_threadtest(&ThreadtestConfig {
         allocator: alloc_of(flags),
-        threads: get(flags, "threads", 8),
+        threads: threads_of(flags),
         block_size: get(flags, "size", 64),
         pairs_per_thread: get(flags, "pairs", 1000),
     });

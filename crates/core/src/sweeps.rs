@@ -61,6 +61,19 @@ pub fn parse_backend(v: &str) -> Result<tm_stm::BackendKind, String> {
     })
 }
 
+/// Parse one thread count with the same clean-error contract: it must lie
+/// between 1 and the simulated machine's core count, the range
+/// [`tm_sim::Sim::run`] accepts.
+pub fn parse_threads(v: &str) -> Result<usize, String> {
+    let cores = tm_sim::MachineConfig::xeon_e5405().cores;
+    match v.parse() {
+        Ok(n) if (1..=cores).contains(&n) => Ok(n),
+        _ => Err(format!(
+            "--threads takes a count from 1 to {cores} (the simulated cores), got '{v}'"
+        )),
+    }
+}
+
 fn backend_of(config: &[(String, String)]) -> Result<tm_stm::BackendKind, String> {
     match lookup(config, "backend") {
         None => Ok(tm_stm::BackendKind::Etl),
@@ -229,6 +242,11 @@ pub fn spec_from_flags(flags: &HashMap<String, String>) -> Result<SweepSpec, Str
     if let Some(vals) = flags.get("cm") {
         for v in vals.split(',').map(str::trim).filter(|v| !v.is_empty()) {
             parse_cm(v)?;
+        }
+    }
+    if let Some(vals) = flags.get("threads") {
+        for v in vals.split(',').map(str::trim).filter(|v| !v.is_empty()) {
+            parse_threads(v)?;
         }
     }
     if let Some(vals) = flags.get("alloc-fault") {

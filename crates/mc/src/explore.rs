@@ -10,8 +10,8 @@
 //! host counters) at post-seeding quiescence; each schedule then runs as
 //! three restores plus a fuel re-arm instead of a rebuild. Checkpoints
 //! are taken only at quiescence — between [`tm_sim::Sim::run`] calls —
-//! so no live fiber or thread stack ever needs capturing, which is what
-//! keeps snapshots exact under both executor backends.
+//! so no live fiber stack ever needs capturing, which is what keeps
+//! snapshots exact.
 //!
 //! On top of the session, [`explore`] layers *state-fingerprint dedup*:
 //! after each clean run it compares the simulator's 64-bit execution

@@ -9,29 +9,20 @@
 //! which keeps the event rate (and host-side synchronization) proportional
 //! to the number of *shared* operations only.
 //!
-//! Two execution backends implement the same decision procedure:
-//!
-//! * **Fibers** (default on x86-64 Linux): all logical threads run as
-//!   stackful coroutines on the calling OS thread, switching contexts in
-//!   user space exactly where the OS-thread backend would block. The
-//!   scheduler lock is taken once per run instead of once per event, and a
-//!   hand-off costs a ~20 ns context switch instead of a futex wake plus a
-//!   kernel reschedule.
-//! * **OS threads** (fallback; force with `TM_SIM_EXEC=threads`): one OS
-//!   thread per logical thread, serialized by one mutex and per-core
-//!   condvars.
-//!
-//! Both backends pick the next thread with the same `(clock, tid)`-minimum
-//! rule, so they produce bit-identical reports; `TM_SIM_EXEC=fibers|threads`
-//! selects one explicitly (the fiber backend panics on unsupported
-//! targets). Single-thread runs skip hand-off machinery entirely on either
-//! backend: the closure runs on the caller under the run-scoped lock.
+//! Multi-thread runs execute every logical thread as a stackful coroutine
+//! ("fiber") on the calling OS thread: a thread that is not the minimum
+//! suspends in user space and a driver loop resumes whichever thread is.
+//! The scheduler lock is taken once per run instead of once per event, and
+//! a hand-off costs a ~20 ns context switch. Single-thread runs skip the
+//! hand-off machinery entirely: the closure runs on the caller under the
+//! run-scoped lock. Which of the two paths runs is decided by the thread
+//! count alone.
 
 use std::panic::AssertUnwindSafe;
 use std::ptr;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::Mutex;
 // The `TM_WATCH` write-watchpoint lives in the observability crate now;
 // re-exported from this crate's root for compatibility.
 use tm_obs::trace::check_watch;
@@ -70,6 +61,11 @@ struct Inner {
     /// same event sequence with the same clocks — the dedup signal for the
     /// `tm-mc` prefix-tree explorer.
     hash: u64,
+    /// Optional scheduling-point hook (see [`Ctx::sched_point`]). Lives
+    /// here because the run holds this state for its whole duration, so a
+    /// workload thread reads it without any lock; [`Sim::set_sched_hook`]
+    /// only changes it between runs.
+    sched_hook: Option<Arc<SchedHook>>,
 }
 
 /// Panic message prefix raised when the event budget set by
@@ -134,62 +130,22 @@ impl Inner {
     }
 }
 
-struct Shared {
-    inner: Mutex<Inner>,
-    /// One condvar per core so a scheduling hand-off wakes exactly one
-    /// thread instead of stampeding all of them (OS-thread backend only).
-    cvs: Vec<Condvar>,
-    /// Observability context (named metrics + event trace), sized to the
-    /// machine's core count and shared with every layer built on top.
-    obs: Arc<Obs>,
-    /// Optional scheduling-point hook (see [`Ctx::sched_point`]). Guarded by
-    /// its own lock so installation never touches the scheduler mutex.
-    sched_hook: Mutex<Option<Arc<SchedHook>>>,
-}
-
-/// Which hand-off mechanism executes multi-threaded runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Backend {
-    Fibers,
-    Threads,
-}
-
-fn backend_from_env() -> Backend {
-    match std::env::var("TM_SIM_EXEC") {
-        Ok(v) if v == "threads" => Backend::Threads,
-        Ok(v) if v == "fibers" => {
-            if !fiber::SUPPORTED {
-                panic!("TM_SIM_EXEC=fibers requested but the fiber backend needs x86-64 Linux");
-            }
-            Backend::Fibers
-        }
-        Ok(v) => panic!("TM_SIM_EXEC must be \"fibers\" or \"threads\", got {v:?}"),
-        Err(_) => {
-            if fiber::SUPPORTED {
-                Backend::Fibers
-            } else {
-                Backend::Threads
-            }
-        }
-    }
-}
-
 /// A simulated machine plus scheduler. Create one per experiment
 /// configuration; call [`Sim::run`] one or more times (e.g. a sequential
 /// initialization phase followed by the parallel measurement phase — cache
 /// and memory state persist across runs, virtual clocks restart at zero).
 pub struct Sim {
-    shared: Arc<Shared>,
+    inner: Mutex<Inner>,
+    /// Observability context (named metrics + event trace), sized to the
+    /// machine's core count and shared with every layer built on top.
+    obs: Arc<Obs>,
     cfg: MachineConfig,
-    backend: Backend,
 }
 
 impl Sim {
-    /// Build a simulator for one machine configuration. The executor
-    /// backend is chosen here, once, from `TM_SIM_EXEC` (`fibers` where
-    /// supported, else OS `threads`) — both produce bit-identical reports.
+    /// Build a simulator for one machine configuration.
     pub fn new(cfg: MachineConfig) -> Self {
-        let shared = Arc::new(Shared {
+        Sim {
             inner: Mutex::new(Inner {
                 machine: MachineState::new(cfg.clone()),
                 time: Vec::new(),
@@ -197,23 +153,11 @@ impl Sim {
                 fuel: u64::MAX,
                 events: 0,
                 hash: 0,
+                sched_hook: None,
             }),
-            cvs: (0..cfg.cores).map(|_| Condvar::new()).collect(),
             obs: Arc::new(Obs::new(cfg.cores)),
-            sched_hook: Mutex::new(None),
-        });
-        Sim {
-            shared,
             cfg,
-            backend: backend_from_env(),
         }
-    }
-
-    #[cfg(test)]
-    fn with_backend(cfg: MachineConfig, backend: Backend) -> Self {
-        let mut s = Sim::new(cfg);
-        s.backend = backend;
-        s
     }
 
     /// The machine configuration this simulator was built with.
@@ -225,13 +169,13 @@ impl Sim {
     /// (allocators, the STM, harnesses) mint counters and record trace
     /// events through this; clone the `Arc` to hold on to it.
     pub fn obs(&self) -> &Arc<Obs> {
-        &self.shared.obs
+        &self.obs
     }
 
     /// Create a simulated mutex ahead of a run (allocator constructors use
     /// this; locks can also be created mid-run via [`Ctx::new_mutex`]).
     pub fn new_mutex(&self) -> SimMutex {
-        self.shared.inner.lock().machine.new_lock()
+        self.inner.lock().machine.new_lock()
     }
 
     /// Install (or replace) the scheduling-point hook consulted by
@@ -241,7 +185,7 @@ impl Sim {
     /// instead of the workload pre-sampling them. Must not be called while
     /// a run is in progress.
     pub fn set_sched_hook(&self, hook: Arc<SchedHook>) {
-        *self.shared.sched_hook.lock() = Some(hook);
+        self.inner.lock().sched_hook = Some(hook);
     }
 
     /// Bound the number of scheduler events the remaining runs on this
@@ -254,14 +198,14 @@ impl Sim {
     /// effectively unlimited.
     pub fn set_fuel(&self, events: u64) {
         assert!(events > 0, "fuel budget must be non-zero");
-        self.shared.inner.lock().fuel = events;
+        self.inner.lock().fuel = events;
     }
 
     /// Escape hatch for tests and post-run inspection: direct, untimed
     /// access to machine state (memory contents, OS bump pointer, ...).
     /// Must not be called while a run is in progress.
     pub fn with_state<R>(&self, f: impl FnOnce(&mut MachineStateView<'_>) -> R) -> R {
-        let mut g = self.shared.inner.lock();
+        let mut g = self.inner.lock();
         f(&mut MachineStateView { m: &mut g.machine })
     }
 
@@ -269,16 +213,16 @@ impl Sim {
     /// [`Sim::restore`]). Used by the `tm-mc` explorer to account for the
     /// replay work a checkpoint restore avoided.
     pub fn events(&self) -> u64 {
-        self.shared.inner.lock().events
+        self.inner.lock().events
     }
 
     /// The rolling execution fingerprint: a 64-bit hash folding every
     /// committed `(tid, clock)` update in scheduler order. Deterministic in
-    /// the executed schedule, identical across executor backends, and
-    /// rewound by [`Sim::restore`] — so the value after a run is a
-    /// fingerprint of that run relative to the restored checkpoint.
+    /// the executed schedule and rewound by [`Sim::restore`] — so the value
+    /// after a run is a fingerprint of that run relative to the restored
+    /// checkpoint.
     pub fn trace_hash(&self) -> u64 {
-        self.shared.inner.lock().hash
+        self.inner.lock().hash
     }
 
     /// Capture the complete simulator state — machine (sparse memory via
@@ -288,10 +232,10 @@ impl Sim {
     /// stack to capture, which is what makes snapshots cheap and exact.
     /// `parent` enables page sharing between related snapshots.
     pub fn snapshot(&self, parent: Option<&SimSnapshot>) -> SimSnapshot {
-        let mut g = self.shared.inner.lock();
+        let mut g = self.inner.lock();
         SimSnapshot {
             machine: g.machine.snapshot(parent.map(|p| &p.machine)),
-            trace: self.shared.obs.trace().checkpoint(),
+            trace: self.obs.trace().checkpoint(),
             events: g.events,
             hash: g.hash,
         }
@@ -302,11 +246,11 @@ impl Sim {
     /// re-arm it with [`Sim::set_fuel`] if the previous run may have
     /// drained it.
     pub fn restore(&self, snap: &SimSnapshot) {
-        let mut g = self.shared.inner.lock();
+        let mut g = self.inner.lock();
         g.machine.restore(&snap.machine);
         g.events = snap.events;
         g.hash = snap.hash;
-        self.shared.obs.trace().restore(&snap.trace);
+        self.obs.trace().restore(&snap.trace);
     }
 
     /// Execute `f` once per logical thread on `n` virtual cores and return
@@ -323,7 +267,7 @@ impl Sim {
             self.cfg.cores
         );
         let (stats_before, locks_before, os_before) = {
-            let mut g = self.shared.inner.lock();
+            let mut g = self.inner.lock();
             g.time = vec![0; n];
             g.state = vec![TState::Runnable; n];
             for l in &g.machine.locks {
@@ -340,13 +284,11 @@ impl Sim {
             // hand-off machinery at all — the closure runs on the caller
             // under the run-scoped lock.
             self.run_solo(&f);
-        } else if self.backend == Backend::Fibers {
-            self.run_fibers(n, &f);
         } else {
-            self.run_threads(n, &f);
+            self.run_fibers(n, &f);
         }
 
-        let g = self.shared.inner.lock();
+        let g = self.inner.lock();
         let cycles = g.time.iter().copied().max().unwrap_or(0);
         let mut per_core = Vec::with_capacity(n);
         let mut total = CacheStats::default();
@@ -383,12 +325,12 @@ impl Sim {
     where
         F: Fn(&mut Ctx<'_>) + Sync,
     {
-        let mut g = self.shared.inner.lock();
+        let mut g = self.inner.lock();
         let inner: *mut Inner = &mut *g;
         let mut ctx = Ctx {
             tid: 0,
             n: 1,
-            shared: &self.shared,
+            obs: &self.obs,
             inner,
             rt: ptr::null_mut(),
             pending: 0,
@@ -399,31 +341,6 @@ impl Sim {
         ctx.finish();
     }
 
-    fn run_threads<F>(&self, n: usize, f: &F)
-    where
-        F: Fn(&mut Ctx<'_>) + Sync,
-    {
-        std::thread::scope(|s| {
-            for tid in 0..n {
-                let shared = &self.shared;
-                s.spawn(move || {
-                    let mut ctx = Ctx {
-                        tid,
-                        n,
-                        shared,
-                        inner: ptr::null_mut(),
-                        rt: ptr::null_mut(),
-                        pending: 0,
-                        local_time: 0,
-                        finished: false,
-                    };
-                    f(&mut ctx);
-                    ctx.finish();
-                });
-            }
-        });
-    }
-
     fn run_fibers<F>(&self, n: usize, f: &F)
     where
         F: Fn(&mut Ctx<'_>) + Sync,
@@ -432,7 +349,7 @@ impl Sim {
         // machine through a raw pointer. The discipline that makes this
         // sound: references into `Inner` are created fresh after every
         // context switch and never held across one.
-        let mut g = self.shared.inner.lock();
+        let mut g = self.inner.lock();
         let inner_ptr: *mut Inner = &mut *g;
         let mut rt = FiberRt {
             inner: inner_ptr,
@@ -444,7 +361,7 @@ impl Sim {
         let boots: Vec<FiberBoot<'_, F>> = (0..n)
             .map(|tid| FiberBoot {
                 rt: rt_ptr,
-                shared: &self.shared,
+                obs: &self.obs,
                 f,
                 tid,
                 n,
@@ -517,15 +434,15 @@ struct FiberRt {
     driver_sp: *mut u8,
     /// Saved context per suspended fiber.
     sps: Vec<*mut u8>,
-    /// First panic payload from a fiber, re-raised after the run completes
-    /// (matching the OS-thread backend, where the panic propagates when the
-    /// thread scope joins).
+    /// First panic payload from a fiber, re-raised once every thread has
+    /// finished (the panicking thread's `Ctx` drop marks it Done and
+    /// releases its locks, so the others run to completion first).
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
 struct FiberBoot<'a, F> {
     rt: *mut FiberRt,
-    shared: &'a Shared,
+    obs: &'a Obs,
     f: &'a F,
     tid: usize,
     n: usize,
@@ -538,7 +455,7 @@ unsafe extern "C" fn fiber_main<F: Fn(&mut Ctx<'_>) + Sync>(arg: *mut u8) -> ! {
         let mut ctx = Ctx {
             tid,
             n: boot.n,
-            shared: boot.shared,
+            obs: boot.obs,
             inner: (*rt).inner,
             rt,
             pending: 0,
@@ -547,9 +464,9 @@ unsafe extern "C" fn fiber_main<F: Fn(&mut Ctx<'_>) + Sync>(arg: *mut u8) -> ! {
         };
         (boot.f)(&mut ctx);
         ctx.finish();
-        // A panicking closure is handled like a panicking OS thread: the
-        // `Ctx` drop marks the thread Done and releases its locks, and the
-        // payload is re-raised by `run` once every thread has finished.
+        // On a panic the `Ctx` drop marks the thread Done and releases its
+        // locks, and the payload is re-raised by `run` once every thread
+        // has finished.
     }));
     if let Err(p) = result {
         let rt_ref = &mut *rt;
@@ -603,12 +520,13 @@ impl MachineStateView<'_> {
 pub struct Ctx<'a> {
     tid: usize,
     n: usize,
-    shared: &'a Shared,
-    /// Non-null when the run-scoped lock is held for us (solo and fiber
-    /// backends): machine state is reached directly, no per-event lock.
+    obs: &'a Obs,
+    /// The run's scheduler state, locked by [`Sim::run`] for the whole run:
+    /// machine state is reached directly, no per-event lock.
     inner: *mut Inner,
-    /// Non-null only on the fiber backend (n > 1): hand-offs suspend the
-    /// fiber instead of parking the OS thread.
+    /// The fiber runtime of a multi-thread run (null on the solo path,
+    /// whose one thread is always the minimum): a thread that must wait
+    /// suspends its fiber.
     rt: *mut FiberRt,
     pending: u64,
     /// Mirror of this thread's committed clock, maintained at every event
@@ -663,22 +581,20 @@ impl Ctx<'_> {
     /// receive the same delay, keeping replays deterministic. Returns the
     /// injected delay.
     pub fn sched_point(&mut self, point: u64) -> u64 {
-        let hook = self.shared.sched_hook.lock().clone();
-        match hook {
-            Some(h) => {
-                let d = h(self.tid, point);
-                if d > 0 {
-                    self.tick(d);
-                }
-                d
-            }
-            None => 0,
-        }
+        // SAFETY: `inner` is the state `Sim::run` holds locked for the run.
+        // The hook cannot change mid-run and calling it cannot switch
+        // fibers, so the reference into `Inner` is never held across one.
+        let d = match unsafe { &(*self.inner).sched_hook } {
+            Some(h) => h(self.tid, point),
+            None => return 0,
+        };
+        self.tick(d);
+        d
     }
 
     /// The machine's observability context (same as [`Sim::obs`]).
     pub fn obs(&self) -> &Obs {
-        &self.shared.obs
+        self.obs
     }
 
     /// Record a trace event stamped with this thread's current virtual
@@ -686,81 +602,46 @@ impl Ctx<'_> {
     /// interaction either way.
     #[inline]
     pub fn trace_event(&mut self, kind: EventKind, a: u64, b: u64) {
-        if !self.shared.obs.trace().is_enabled() {
+        if !self.obs.trace().is_enabled() {
             return;
         }
         let t = self.now();
-        self.shared.obs.trace().emit(self.tid, t, kind, a, b);
+        self.obs.trace().emit(self.tid, t, kind, a, b);
     }
 
-    /// Block until this thread holds the minimum clock among runnable
-    /// threads, then run `f` against the machine. `f` returns (cycle cost,
-    /// result).
-    fn event<R>(&mut self, f: impl FnOnce(&mut MachineState, usize) -> (u64, R)) -> R {
-        if !self.inner.is_null() {
-            unsafe {
-                let inner = self.inner;
-                {
-                    let g = &mut *inner;
-                    g.time[self.tid] += self.pending;
-                }
-                self.pending = 0;
-                if !self.rt.is_null() {
-                    while !{ (&*inner).is_min(self.tid) } {
-                        yield_to_driver(self.rt, self.tid);
-                    }
-                }
-                let g = &mut *inner;
-                g.burn_fuel();
-                let (cost, r) = f(&mut g.machine, self.tid);
-                let t = g.time[self.tid] + cost;
-                g.commit(self.tid, t);
-                self.local_time = t;
-                r
-            }
-        } else {
-            let mut g = self.shared.inner.lock();
-            g.time[self.tid] += self.pending;
+    /// Take this thread's turn: flush pending compute into its clock,
+    /// suspend until it holds the minimum clock among runnable threads, run
+    /// `f` on the scheduler state, and mirror the resulting clock. Every
+    /// event, lock attempt and unlock goes through here.
+    fn turn<R>(&mut self, f: impl FnOnce(&mut Inner, usize) -> R) -> R {
+        let tid = self.tid;
+        // SAFETY: `inner` is the state `Sim::run` holds locked for the
+        // run; each reference into it is created after the last switch
+        // and dropped before the next.
+        unsafe {
+            (&mut *self.inner).time[tid] += self.pending;
             self.pending = 0;
-            self.wait_for_turn(&mut g);
-            g.burn_fuel();
-            let (cost, r) = f(&mut g.machine, self.tid);
-            let t = g.time[self.tid] + cost;
-            g.commit(self.tid, t);
-            self.local_time = t;
-            self.notify_next(&g);
+            if !self.rt.is_null() {
+                while !{ (&*self.inner).is_min(tid) } {
+                    yield_to_driver(self.rt, tid);
+                }
+            }
+            let g = &mut *self.inner;
+            let r = f(g, tid);
+            self.local_time = g.time[tid];
             r
         }
     }
 
-    fn wait_for_turn(&self, g: &mut MutexGuard<'_, Inner>) {
-        if g.is_min(self.tid) {
-            return;
-        }
-        // Flushing pending compute may have *made someone else* the
-        // minimum without any event of theirs completing — wake them
-        // before sleeping or nobody ever would (lost-wakeup deadlock).
-        // Once is enough: any later change of the minimum is accompanied
-        // by a notification from the thread that caused it (event
-        // completion, unlock, finish, or another thread's arrival), and
-        // the check-then-wait below is atomic under the scheduler lock.
-        if let Some((_, t)) = g.min_runnable() {
-            self.shared.cvs[t].notify_one();
-        }
-        loop {
-            self.shared.cvs[self.tid].wait(g);
-            if g.is_min(self.tid) {
-                return;
-            }
-        }
-    }
-
-    fn notify_next(&self, g: &Inner) {
-        if let Some((_, t)) = g.min_runnable() {
-            if t != self.tid {
-                self.shared.cvs[t].notify_one();
-            }
-        }
+    /// Run one event against the machine in this thread's turn. `f`
+    /// returns (cycle cost, result).
+    fn event<R>(&mut self, f: impl FnOnce(&mut MachineState, usize) -> (u64, R)) -> R {
+        self.turn(|g, tid| {
+            g.burn_fuel();
+            let (cost, r) = f(&mut g.machine, tid);
+            g.commit(tid, g.time[tid] + cost);
+            r
+        })
     }
 
     /// Zero-cost synchronization event: flush pending compute and block
@@ -924,30 +805,21 @@ impl Ctx<'_> {
     /// Acquire `mx`, blocking in virtual time while another thread holds it.
     pub fn lock(&mut self, mx: SimMutex) {
         let mut counted = false;
-        loop {
-            if self.lock_attempt(mx, true, &mut counted) {
-                return;
-            }
+        while !self.lock_attempt(mx, true, &mut counted) {
             // We were enqueued as Blocked; wait until the releaser makes us
             // runnable again, then re-contend.
-            if !self.inner.is_null() {
-                unsafe {
-                    assert!(
-                        !self.rt.is_null(),
-                        "virtual deadlock: lone thread blocked on a simulated lock"
-                    );
-                    while { (&*self.inner).state[self.tid] } == TState::Blocked(mx.id) {
-                        yield_to_driver(self.rt, self.tid);
-                    }
-                    // The releaser advanced our clock to the release time.
-                    self.local_time = (&*self.inner).time[self.tid];
+            assert!(
+                !self.rt.is_null(),
+                "virtual deadlock: lone thread blocked on a simulated lock"
+            );
+            // SAFETY: as in `turn` — each reference into `Inner` ends
+            // before the switch and is created afresh after it.
+            unsafe {
+                while { (&*self.inner).state[self.tid] } == TState::Blocked(mx.id) {
+                    yield_to_driver(self.rt, self.tid);
                 }
-            } else {
-                let mut g = self.shared.inner.lock();
-                while g.state[self.tid] == TState::Blocked(mx.id) {
-                    self.shared.cvs[self.tid].wait(&mut g);
-                }
-                self.local_time = g.time[self.tid];
+                // The releaser advanced our clock to the release time.
+                self.local_time = (&*self.inner).time[self.tid];
             }
         }
     }
@@ -960,68 +832,15 @@ impl Ctx<'_> {
     }
 
     fn lock_attempt(&mut self, mx: SimMutex, block: bool, counted: &mut bool) -> bool {
-        if !self.inner.is_null() {
-            unsafe {
-                let inner = self.inner;
-                {
-                    let g = &mut *inner;
-                    g.time[self.tid] += self.pending;
-                }
-                self.pending = 0;
-                if !self.rt.is_null() {
-                    while !{ (&*inner).is_min(self.tid) } {
-                        yield_to_driver(self.rt, self.tid);
-                    }
-                }
-                let g = &mut *inner;
-                let acquired = acquire_locked(g, &self.shared.obs, self.tid, mx, block, counted);
-                self.local_time = g.time[self.tid];
-                acquired
-            }
-        } else {
-            let mut g = self.shared.inner.lock();
-            g.time[self.tid] += self.pending;
-            self.pending = 0;
-            self.wait_for_turn(&mut g);
-            let acquired = acquire_locked(&mut g, &self.shared.obs, self.tid, mx, block, counted);
-            self.local_time = g.time[self.tid];
-            self.notify_next(&g);
-            acquired
-        }
+        let obs = self.obs;
+        self.turn(|g, tid| acquire_locked(g, obs, tid, mx, block, counted))
     }
 
     /// Release `mx`; all threads blocked on it become runnable with their
     /// clocks advanced to the release time (their wait is recorded in the
     /// lock statistics).
     pub fn unlock(&mut self, mx: SimMutex) {
-        if !self.inner.is_null() {
-            unsafe {
-                let inner = self.inner;
-                {
-                    let g = &mut *inner;
-                    g.time[self.tid] += self.pending;
-                }
-                self.pending = 0;
-                if !self.rt.is_null() {
-                    while !{ (&*inner).is_min(self.tid) } {
-                        yield_to_driver(self.rt, self.tid);
-                    }
-                }
-                let g = &mut *inner;
-                release_lock(g, self.tid, mx, |_| {});
-                self.local_time = g.time[self.tid];
-            }
-        } else {
-            let mut g = self.shared.inner.lock();
-            g.time[self.tid] += self.pending;
-            self.pending = 0;
-            self.wait_for_turn(&mut g);
-            release_lock(&mut g, self.tid, mx, |t| {
-                self.shared.cvs[t].notify_one();
-            });
-            self.local_time = g.time[self.tid];
-            self.notify_next(&g);
-        }
+        self.turn(|g, tid| release_lock(g, tid, mx));
     }
 
     /// Run `f` under `mx` (convenience for lock/unlock pairs).
@@ -1034,28 +853,18 @@ impl Ctx<'_> {
 
     fn finish(&mut self) {
         self.finished = true;
-        if !self.inner.is_null() {
-            unsafe {
-                finish_thread(&mut *self.inner, self.tid, self.pending, |_| {});
-            }
-            self.pending = 0;
-        } else {
-            let mut g = self.shared.inner.lock();
-            finish_thread(&mut g, self.tid, self.pending, |t| {
-                self.shared.cvs[t].notify_one();
-            });
-            self.pending = 0;
-            // Whoever is now minimal may proceed.
-            if let Some((_, t)) = g.min_runnable() {
-                self.shared.cvs[t].notify_one();
-            }
+        // SAFETY: `inner` is the state `Sim::run` holds locked for the
+        // run, and no other reference into it is live here.
+        unsafe {
+            finish_thread(&mut *self.inner, self.tid, self.pending);
         }
+        self.pending = 0;
     }
 }
 
 /// Lock-acquisition attempt for a thread that holds the scheduling minimum.
 /// Returns whether the lock was taken; on failure with `block`, the thread
-/// is marked Blocked (the caller waits backend-appropriately).
+/// is marked Blocked (the caller suspends until it is runnable again).
 fn acquire_locked(
     g: &mut Inner,
     obs: &Obs,
@@ -1103,10 +912,9 @@ fn acquire_locked(
     }
 }
 
-/// Lock release for a thread that holds the scheduling minimum. `on_wake`
-/// is called for every unblocked thread (the OS-thread backend notifies its
-/// condvar; the fiber driver rescans anyway).
-fn release_lock(g: &mut Inner, tid: usize, mx: SimMutex, mut on_wake: impl FnMut(usize)) {
+/// Lock release for a thread that holds the scheduling minimum. Unblocked
+/// threads need no wake-up: the fiber driver rescans every runnable thread.
+fn release_lock(g: &mut Inner, tid: usize, mx: SimMutex) {
     assert_eq!(
         g.machine.locks[mx.id].holder,
         Some(tid),
@@ -1121,7 +929,6 @@ fn release_lock(g: &mut Inner, tid: usize, mx: SimMutex, mut on_wake: impl FnMut
             g.machine.locks[mx.id].wait_cycles += waited;
             g.commit(t, g.time[t].max(now));
             g.state[t] = TState::Runnable;
-            on_wake(t);
         }
     }
 }
@@ -1130,7 +937,7 @@ fn release_lock(g: &mut Inner, tid: usize, mx: SimMutex, mut on_wake: impl FnMut
 /// it still holds so survivors can make progress (poisoning is not
 /// modelled; tests assert on the propagated panic instead), and unblock
 /// their waiters to re-contend.
-fn finish_thread(g: &mut Inner, tid: usize, pending: u64, mut on_wake: impl FnMut(usize)) {
+fn finish_thread(g: &mut Inner, tid: usize, pending: u64) {
     g.commit(tid, g.time[tid] + pending);
     g.state[tid] = TState::Done;
     let mut released = Vec::new();
@@ -1145,7 +952,6 @@ fn finish_thread(g: &mut Inner, tid: usize, pending: u64, mut on_wake: impl FnMu
             if let TState::Blocked(id) = g.state[t] {
                 if released.contains(&id) {
                     g.state[t] = TState::Runnable;
-                    on_wake(t);
                 }
             }
         }
@@ -1205,51 +1011,6 @@ mod tests {
         let (c2, o2) = run_once();
         assert_eq!(c1, c2);
         assert_eq!(o1, o2);
-    }
-
-    // A workload exercising every scheduler interaction: ticks, atomics,
-    // blocking locks, trylocks, and asymmetric per-thread compute.
-    fn contended_workload(s: &Sim) -> (u64, Vec<(usize, u64, u64)>) {
-        let mx = s.new_mutex();
-        let order = HostMutex::new(Vec::new());
-        let r = s.run(4, |ctx| {
-            for i in 0..12u64 {
-                ctx.tick((ctx.tid() as u64 + 1) * 7);
-                let v = ctx.fetch_add_u64(0x900, 1);
-                order.lock().push((ctx.tid(), i, v));
-                ctx.lock(mx);
-                let cur = ctx.read_u64(0x908);
-                ctx.tick(30);
-                ctx.write_u64(0x908, cur + 1);
-                ctx.unlock(mx);
-                if ctx.try_lock(mx) {
-                    ctx.unlock(mx);
-                }
-            }
-        });
-        let mut o = order.into_inner();
-        o.sort_unstable();
-        (r.cycles, o)
-    }
-
-    #[test]
-    fn backends_agree_bit_for_bit() {
-        // The fiber and OS-thread backends implement one decision
-        // procedure; this pins that they produce identical schedules,
-        // clocks and lock statistics on a contended workload.
-        if !fiber::SUPPORTED {
-            return;
-        }
-        let st = Sim::with_backend(MachineConfig::tiny_test(), Backend::Threads);
-        let sf = Sim::with_backend(MachineConfig::tiny_test(), Backend::Fibers);
-        let (ct, ot) = contended_workload(&st);
-        let (cf, of) = contended_workload(&sf);
-        assert_eq!(ct, cf);
-        assert_eq!(ot, of);
-        st.with_state(|m| {
-            let threads_total = m.read_u64(0x908);
-            sf.with_state(|m2| assert_eq!(m2.read_u64(0x908), threads_total));
-        });
     }
 
     #[test]
@@ -1511,12 +1272,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_hash_separates_schedules_and_matches_backends() {
-        if !fiber::SUPPORTED {
-            return;
-        }
-        let hash_for = |backend: Backend, delay: u64| {
-            let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
+    fn trace_hash_separates_schedules() {
+        let hash_for = |delay: u64| {
+            let s = sim();
             s.set_sched_hook(Arc::new(move |tid, _| if tid == 1 { delay } else { 0 }));
             s.run(2, |ctx| {
                 ctx.sched_point(0);
@@ -1524,18 +1282,10 @@ mod tests {
             });
             s.trace_hash()
         };
-        assert_eq!(
-            hash_for(Backend::Fibers, 0),
-            hash_for(Backend::Threads, 0),
-            "fingerprint must be backend-independent"
-        );
-        assert_eq!(
-            hash_for(Backend::Fibers, 700),
-            hash_for(Backend::Threads, 700)
-        );
+        assert_eq!(hash_for(700), hash_for(700), "fingerprint must replay");
         assert_ne!(
-            hash_for(Backend::Fibers, 0),
-            hash_for(Backend::Fibers, 700),
+            hash_for(0),
+            hash_for(700),
             "a delay that shifts clocks must change the fingerprint"
         );
     }

@@ -1,125 +1,134 @@
-//! Stackful coroutines ("fibers") for the scheduler's single-OS-thread
-//! backend.
+//! Stackful coroutines ("fibers") for the scheduler's multi-thread runs.
 //!
 //! The conservative scheduler serializes logical threads anyway — at any
 //! instant exactly one thread is allowed to execute its next event — so
-//! running each logical thread on its own OS thread buys no parallelism and
-//! pays a futex wake plus a kernel context switch per hand-off. This module
-//! provides the primitive that removes that cost: a minimal stackful
+//! giving each logical thread its own OS thread would buy no parallelism
+//! and pay a futex wake plus a kernel context switch per hand-off. This
+//! module provides the primitive that avoids that cost: a minimal stackful
 //! coroutine with an assembly context switch (~tens of nanoseconds) and an
 //! mmap-backed, guard-paged stack, so `Sim::run` can multiplex all logical
-//! threads onto the calling OS thread and suspend/resume them at exactly
-//! the points where the OS-thread backend would block on a condvar.
+//! threads onto the calling OS thread and suspend/resume them wherever a
+//! thread must wait for its turn.
 //!
 //! Only the switching *mechanism* lives here; every scheduling decision
-//! (who runs next) stays in `exec.rs` and is shared verbatim with the
-//! OS-thread backend, which is what keeps the two backends bit-identical.
+//! (who runs next) stays in `exec.rs`.
 //!
-//! x86-64 Linux only (`SUPPORTED`); other targets keep the OS-thread
-//! backend.
+//! Supported targets: x86-64 Linux and AArch64 Linux. Each has its own
+//! context-switch assembly and raw `syscall6`; the stack pool and the
+//! `Fiber` handle are shared.
 
-/// Whether the fiber backend can be used on this target.
-pub(crate) const SUPPORTED: bool = cfg!(all(target_arch = "x86_64", target_os = "linux"));
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!(
+    "tm-sim's fiber executor supports only x86_64-unknown-linux-* and aarch64-unknown-linux-* targets"
+);
 
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-pub(crate) use imp::{switch, Fiber};
+use arch::{syscall6, SYS_MMAP, SYS_MPROTECT, SYS_MUNMAP};
 
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-mod imp {
-    /// Usable stack bytes per fiber. Matches the default for spawned OS
-    /// threads (`std::thread` uses 2 MiB), which the workloads already fit
-    /// in; a guard page below the stack turns overflow into a fault instead
-    /// of silent corruption.
-    const STACK_BYTES: usize = 2 << 20;
-    const PAGE: usize = 4096;
+/// Usable stack bytes per fiber. Matches the default for spawned OS
+/// threads (`std::thread` uses 2 MiB), which the workloads already fit in;
+/// a guard region below the stack turns overflow into a fault instead of
+/// silent corruption.
+const STACK_BYTES: usize = 2 << 20;
+/// Guard region size: 64 KiB, the largest page size Linux uses on either
+/// supported target, so the `mprotect` boundary is page-aligned whatever
+/// the kernel's page size is.
+const GUARD: usize = 64 << 10;
 
-    const PROT_NONE: usize = 0;
-    const PROT_READ_WRITE: usize = 1 | 2;
-    const MAP_PRIVATE_ANON: usize = 0x02 | 0x20;
+const PROT_NONE: usize = 0;
+const PROT_RW: usize = 1 | 2;
+const MAP_PRIVATE_ANON: usize = 0x02 | 0x20;
 
-    /// `mmap` the whole region `PROT_NONE`, then open up everything above
-    /// the lowest page — the stack grows down into the guard.
-    struct Stack {
-        base: *mut u8,
-        len: usize,
+/// `mmap` the whole region `PROT_NONE`, then open up everything above the
+/// guard — the stack grows down into it.
+struct Stack {
+    base: *mut u8,
+    len: usize,
+}
+
+// A fiber stack costs an mmap + mprotect to create, an munmap to destroy,
+// and — the dominant, hidden cost — a fresh round of page faults to fault
+// its hot pages back in on every reuse. `Sim::run` spawns fibers per
+// *run*, and the checkpointed schedule explorer performs tens of thousands
+// of runs per second, so stacks are pooled process-wide: a retired stack
+// keeps its mapping (guard intact) and the next spawn picks it up with its
+// pages still resident. Stale stack *contents* are harmless —
+// `Fiber::spawn` builds the boot frame from scratch.
+static STACK_POOL: std::sync::Mutex<Vec<Stack>> = std::sync::Mutex::new(Vec::new());
+/// Mapped-but-idle stacks kept at most; beyond this, retirement unmaps.
+/// 64 × ~2 MiB bounds the idle pool at ~128 MiB of mostly untouched (hence
+/// unbacked) address space.
+const POOL_MAX: usize = 64;
+
+// Raw pointers make Stack !Send by default; the region is exclusively
+// owned (mmap'd by us, handed over whole), so moving it across threads
+// through the pool is sound.
+unsafe impl Send for Stack {}
+
+impl Stack {
+    fn new() -> Stack {
+        if let Some(s) = STACK_POOL.lock().unwrap().pop() {
+            return s;
+        }
+        let len = GUARD + STACK_BYTES;
+        unsafe {
+            let p = syscall6(SYS_MMAP, 0, len, PROT_NONE, MAP_PRIVATE_ANON, usize::MAX, 0);
+            assert!(
+                (p as isize) > 0,
+                "fiber stack mmap failed (errno {})",
+                -(p as isize)
+            );
+            let r = syscall6(SYS_MPROTECT, p + GUARD, STACK_BYTES, PROT_RW, 0, 0, 0);
+            assert_eq!(r as isize, 0, "fiber stack mprotect failed");
+            Stack {
+                base: p as *mut u8,
+                len,
+            }
+        }
     }
 
-    // A fiber stack costs an mmap + mprotect to create, an munmap to
-    // destroy, and — the dominant, hidden cost — a fresh round of page
-    // faults to fault its hot pages back in on every reuse. `Sim::run`
-    // spawns fibers per *run*, and the checkpointed schedule explorer
-    // performs tens of thousands of runs per second, so stacks are pooled
-    // process-wide: a retired stack keeps its mapping (guard page intact)
-    // and the next spawn picks it up with its pages still resident.
-    // Stale stack *contents* are harmless — `Fiber::spawn` builds the
-    // boot frame from scratch.
-    static STACK_POOL: std::sync::Mutex<Vec<Stack>> = std::sync::Mutex::new(Vec::new());
-    /// Mapped-but-idle stacks kept at most; beyond this, retirement
-    /// unmaps. 64 × ~2 MiB bounds the idle pool at ~128 MiB of mostly
-    /// untouched (hence unbacked) address space.
-    const POOL_MAX: usize = 64;
+    fn top(&self) -> *mut u8 {
+        // mmap returns page-aligned memory, so the top is 16-aligned.
+        unsafe { self.base.add(self.len) }
+    }
 
-    // Raw pointers make Stack !Send by default; the region is exclusively
-    // owned (mmap'd by us, handed over whole), so moving it across
-    // threads through the pool is sound.
-    unsafe impl Send for Stack {}
-
-    impl Stack {
-        fn new() -> Stack {
-            if let Some(s) = STACK_POOL.lock().unwrap().pop() {
-                return s;
-            }
-            let len = PAGE + STACK_BYTES;
-            unsafe {
-                let p = syscall6(9, 0, len, PROT_NONE, MAP_PRIVATE_ANON, usize::MAX, 0);
-                assert!(
-                    (p as isize) > 0,
-                    "fiber stack mmap failed (errno {})",
-                    -(p as isize)
-                );
-                let r = syscall6(10, p + PAGE, STACK_BYTES, PROT_READ_WRITE, 0, 0, 0);
-                assert_eq!(r as isize, 0, "fiber stack mprotect failed");
-                Stack {
-                    base: p as *mut u8,
-                    len,
-                }
-            }
+    fn unmap(&mut self) {
+        unsafe {
+            syscall6(SYS_MUNMAP, self.base as usize, self.len, 0, 0, 0, 0);
         }
+        self.base = core::ptr::null_mut();
+    }
+}
 
-        fn top(&self) -> *mut u8 {
-            // mmap returns page-aligned memory, so the top is 16-aligned.
-            unsafe { self.base.add(self.len) }
+impl Drop for Stack {
+    fn drop(&mut self) {
+        if self.base.is_null() {
+            return;
         }
-
-        fn unmap(&mut self) {
-            unsafe {
-                syscall6(11, self.base as usize, self.len, 0, 0, 0, 0);
-            }
+        let mut pool = STACK_POOL.lock().unwrap();
+        if pool.len() < POOL_MAX {
+            pool.push(Stack {
+                base: self.base,
+                len: self.len,
+            });
             self.base = core::ptr::null_mut();
+        } else {
+            drop(pool);
+            self.unmap();
         }
     }
+}
 
-    impl Drop for Stack {
-        fn drop(&mut self) {
-            if self.base.is_null() {
-                return;
-            }
-            let mut pool = STACK_POOL.lock().unwrap();
-            if pool.len() < POOL_MAX {
-                pool.push(Stack {
-                    base: self.base,
-                    len: self.len,
-                });
-                self.base = core::ptr::null_mut();
-            } else {
-                drop(pool);
-                self.unmap();
-            }
-        }
-    }
+#[cfg(target_arch = "x86_64")]
+mod arch {
+    pub(super) const SYS_MMAP: usize = 9;
+    pub(super) const SYS_MPROTECT: usize = 10;
+    pub(super) const SYS_MUNMAP: usize = 11;
 
     #[inline]
-    unsafe fn syscall6(
+    pub(super) unsafe fn syscall6(
         n: usize,
         a: usize,
         b: usize,
@@ -187,7 +196,7 @@ mod imp {
     );
 
     extern "C" {
-        fn tm_sim_fiber_switch(save: *mut *mut u8, to: *mut u8);
+        pub(super) fn tm_sim_fiber_switch(save: *mut *mut u8, to: *mut u8);
         fn tm_sim_fiber_boot();
     }
 
@@ -195,80 +204,181 @@ mod imp {
     /// (0x1F80) at offset 4, matching the frame layout the switch restores.
     const FPU_DEFAULTS: u64 = (0x1F80 << 32) | 0x037F;
 
-    /// A suspended logical thread: its stack and saved stack pointer.
-    pub(crate) struct Fiber {
-        sp: *mut u8,
-        _stack: Stack,
-    }
-
-    impl Fiber {
-        /// Create a fiber that, when first switched to, calls
-        /// `entry(arg)`. `entry` must never return (it must switch away
-        /// forever once finished).
-        pub(crate) fn spawn(entry: unsafe extern "C" fn(*mut u8) -> !, arg: *mut u8) -> Fiber {
-            let stack = Stack::new();
-            unsafe {
-                // Frame layout (from the saved stack pointer, upward):
-                //   +0  fcw/mxcsr   +8 r15   +16 r14   +24 r13 (entry)
-                //   +32 r12 (arg)   +40 rbx  +48 rbp   +56 ret (boot shim)
-                //   +64.. padding to the 16-aligned stack top.
-                // The boot shim is entered with rsp ≡ 0 (mod 16), so its
-                // `call` leaves the stack ABI-aligned for `entry`.
-                let sp = stack.top().sub(80) as *mut u64;
-                sp.write_bytes(0, 10);
-                *sp = FPU_DEFAULTS;
-                *sp.add(3) = entry as *const () as u64;
-                *sp.add(4) = arg as u64;
-                *sp.add(7) = tm_sim_fiber_boot as *const () as u64;
-                Fiber {
-                    sp: sp as *mut u8,
-                    _stack: stack,
-                }
-            }
-        }
-
-        /// Saved stack pointer of this (suspended) fiber.
-        pub(crate) fn sp(&self) -> *mut u8 {
-            self.sp
-        }
-    }
-
-    /// Suspend the current context into `*save` and resume `to`.
+    /// Build the boot frame below `top` and return the fiber's initial
+    /// saved stack pointer.
     ///
     /// # Safety
-    /// `to` must be a stack pointer previously produced by this module
-    /// (either `Fiber::spawn` or a prior switch out), and no references to
-    /// data the resumed context may mutate may be live across the call.
-    pub(crate) unsafe fn switch(save: *mut *mut u8, to: *mut u8) {
-        tm_sim_fiber_switch(save, to);
+    /// `top` must be the 16-aligned top of a writable stack with room for
+    /// the frame.
+    pub(super) unsafe fn boot_frame(
+        top: *mut u8,
+        entry: unsafe extern "C" fn(*mut u8) -> !,
+        arg: *mut u8,
+    ) -> *mut u8 {
+        // Frame layout (from the saved stack pointer, upward):
+        //   +0  fcw/mxcsr   +8 r15   +16 r14   +24 r13 (entry)
+        //   +32 r12 (arg)   +40 rbx  +48 rbp   +56 ret (boot shim)
+        //   +64.. padding to the 16-aligned stack top.
+        // The boot shim is entered with rsp ≡ 0 (mod 16), so its `call`
+        // leaves the stack ABI-aligned for `entry`.
+        let sp = top.sub(80) as *mut u64;
+        sp.write_bytes(0, 10);
+        *sp = FPU_DEFAULTS;
+        *sp.add(3) = entry as *const () as u64;
+        *sp.add(4) = arg as u64;
+        *sp.add(7) = tm_sim_fiber_boot as *const () as u64;
+        sp as *mut u8
     }
 }
 
-#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-mod imp {
-    /// Stub so `exec.rs` compiles on targets without the fiber backend; the
-    /// executor never constructs it there (`SUPPORTED` is false).
-    pub(crate) struct Fiber;
+#[cfg(target_arch = "aarch64")]
+mod arch {
+    pub(super) const SYS_MMAP: usize = 222;
+    pub(super) const SYS_MPROTECT: usize = 226;
+    pub(super) const SYS_MUNMAP: usize = 215;
 
-    impl Fiber {
-        pub(crate) fn spawn(_entry: unsafe extern "C" fn(*mut u8) -> !, _arg: *mut u8) -> Fiber {
-            unreachable!("fiber backend is not supported on this target")
-        }
-
-        pub(crate) fn sp(&self) -> *mut u8 {
-            unreachable!("fiber backend is not supported on this target")
-        }
+    #[inline]
+    pub(super) unsafe fn syscall6(
+        n: usize,
+        a: usize,
+        b: usize,
+        c: usize,
+        d: usize,
+        e: usize,
+        f: usize,
+    ) -> usize {
+        let r: usize;
+        core::arch::asm!(
+            "svc #0",
+            inlateout("x0") a => r,
+            in("x1") b,
+            in("x2") c,
+            in("x3") d,
+            in("x4") e,
+            in("x5") f,
+            in("x8") n,
+            options(nostack),
+        );
+        r
     }
 
-    pub(crate) unsafe fn switch(_save: *mut *mut u8, _to: *mut u8) {
-        unreachable!("fiber backend is not supported on this target")
+    // The context switch: save the AAPCS64 callee-saved state (x19–x28,
+    // the frame pointer x29, the link register x30, d8–d15 and FPCR) in a
+    // 176-byte frame on the current stack, store the stack pointer into
+    // `*save`, then restore the frame found at `to` and return through its
+    // x30. A fiber is born with a hand-built frame whose x30 is
+    // `tm_sim_fiber_boot`, which forwards the two values planted in
+    // x19/x20 (argument pointer and entry function) into a normal call.
+    core::arch::global_asm!(
+        ".text",
+        ".p2align 4",
+        ".hidden tm_sim_fiber_switch",
+        ".globl tm_sim_fiber_switch",
+        "tm_sim_fiber_switch:",
+        "sub sp, sp, #176",
+        "stp x19, x20, [sp, #0]",
+        "stp x21, x22, [sp, #16]",
+        "stp x23, x24, [sp, #32]",
+        "stp x25, x26, [sp, #48]",
+        "stp x27, x28, [sp, #64]",
+        "stp x29, x30, [sp, #80]",
+        "stp d8, d9, [sp, #96]",
+        "stp d10, d11, [sp, #112]",
+        "stp d12, d13, [sp, #128]",
+        "stp d14, d15, [sp, #144]",
+        "mrs x9, fpcr",
+        "str x9, [sp, #160]",
+        "mov x9, sp",
+        "str x9, [x0]",
+        "mov sp, x1",
+        "ldr x9, [sp, #160]",
+        "msr fpcr, x9",
+        "ldp d14, d15, [sp, #144]",
+        "ldp d12, d13, [sp, #128]",
+        "ldp d10, d11, [sp, #112]",
+        "ldp d8, d9, [sp, #96]",
+        "ldp x29, x30, [sp, #80]",
+        "ldp x27, x28, [sp, #64]",
+        "ldp x25, x26, [sp, #48]",
+        "ldp x23, x24, [sp, #32]",
+        "ldp x21, x22, [sp, #16]",
+        "ldp x19, x20, [sp, #0]",
+        "add sp, sp, #176",
+        "ret",
+        ".hidden tm_sim_fiber_boot",
+        ".globl tm_sim_fiber_boot",
+        "tm_sim_fiber_boot:",
+        "mov x0, x19",
+        "blr x20",
+        "brk #1",
+    );
+
+    extern "C" {
+        pub(super) fn tm_sim_fiber_switch(save: *mut *mut u8, to: *mut u8);
+        fn tm_sim_fiber_boot();
+    }
+
+    /// Build the boot frame below `top` and return the fiber's initial
+    /// saved stack pointer.
+    ///
+    /// # Safety
+    /// `top` must be the 16-aligned top of a writable stack with room for
+    /// the frame.
+    pub(super) unsafe fn boot_frame(
+        top: *mut u8,
+        entry: unsafe extern "C" fn(*mut u8) -> !,
+        arg: *mut u8,
+    ) -> *mut u8 {
+        // Frame layout (from the saved stack pointer, upward, 8-byte
+        // slots): +0 x19 (arg)  +8 x20 (entry)  +16..+72 x21–x28
+        //   +80 x29 (0: ends the frame chain)  +88 x30 (boot shim)
+        //   +96..+152 d8–d15  +160 FPCR (0: the Linux default)  +168 pad.
+        // The switch pops all 176 bytes, so the boot shim starts with sp at
+        // the 16-aligned stack top.
+        let sp = top.sub(176) as *mut u64;
+        sp.write_bytes(0, 22);
+        *sp = arg as u64;
+        *sp.add(1) = entry as *const () as u64;
+        *sp.add(11) = tm_sim_fiber_boot as *const () as u64;
+        sp as *mut u8
     }
 }
 
-#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-pub(crate) use imp::{switch, Fiber};
+/// A suspended logical thread: its stack and saved stack pointer.
+pub(crate) struct Fiber {
+    sp: *mut u8,
+    _stack: Stack,
+}
 
-#[cfg(all(target_arch = "x86_64", target_os = "linux", test))]
+impl Fiber {
+    /// Create a fiber that, when first switched to, calls `entry(arg)`.
+    /// `entry` must never return (it must switch away forever once
+    /// finished).
+    pub(crate) fn spawn(entry: unsafe extern "C" fn(*mut u8) -> !, arg: *mut u8) -> Fiber {
+        let stack = Stack::new();
+        // SAFETY: a fresh or pooled stack is writable and 16-aligned at the
+        // top, and far larger than a boot frame.
+        let sp = unsafe { arch::boot_frame(stack.top(), entry, arg) };
+        Fiber { sp, _stack: stack }
+    }
+
+    /// Saved stack pointer of this (suspended) fiber.
+    pub(crate) fn sp(&self) -> *mut u8 {
+        self.sp
+    }
+}
+
+/// Suspend the current context into `*save` and resume `to`.
+///
+/// # Safety
+/// `to` must be a stack pointer previously produced by this module (either
+/// `Fiber::spawn` or a prior switch out), and no references to data the
+/// resumed context may mutate may be live across the call.
+pub(crate) unsafe fn switch(save: *mut *mut u8, to: *mut u8) {
+    arch::tm_sim_fiber_switch(save, to);
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::ptr;

@@ -31,8 +31,7 @@
 //!   windows and walks the escalation ladder Suicide → BackoffExp → Karma →
 //!   Serialize (and back down when contention subsides). All of its inputs
 //!   are per-thread deterministic quantities (own stats deltas, virtual
-//!   time), so its switch points are bit-identical across runs and across
-//!   the fibers/threads executors.
+//!   time), so its switch points are bit-identical across runs.
 //!
 //! Dispatch mirrors `backend.rs`: the free functions below are called from
 //! the transaction retry loop and fast-path [`CmKind::Suicide`] with *zero*
@@ -496,7 +495,7 @@ const LADDER: [CmKind; 4] = [
 /// window boundary walk the [`LADDER`] up (abort rate above 3/8) or down
 /// (below 1/16). Every input is per-thread and virtual-time deterministic
 /// — own window counters, own stats deltas — so switch points replay
-/// bit-identically across runs and executors.
+/// bit-identically across runs.
 struct AdaptiveCm;
 
 impl AdaptiveCm {

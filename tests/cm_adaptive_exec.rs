@@ -1,12 +1,7 @@
 //! The adaptive contention manager's switch transcript is part of the
 //! determinism contract: every policy change is driven only by per-thread
 //! window counters and the virtual clock, so the exact `(thread, window,
-//! virtual-time, from → to)` sequence must replay identically run-to-run
-//! *and* be independent of which executor backend (fibers or OS threads)
-//! carried the logical threads.
-//!
-//! A single test function owns the process-global `TM_SIM_EXEC` variable
-//! (read once per `Sim::new`), so the two backends cannot race on it.
+//! virtual-time, from → to)` sequence must replay identically run-to-run.
 
 use tm_alloc::AllocatorKind;
 use tm_core::synthetic::{run_synthetic_cm, SyntheticConfig};
@@ -21,11 +16,10 @@ fn transcript() -> (Vec<(usize, CmSwitch)>, CmStats, u64) {
 }
 
 #[test]
-fn adaptive_switch_points_replay_across_runs_and_executors() {
-    std::env::set_var("TM_SIM_EXEC", "fibers");
+fn adaptive_switch_points_replay_across_runs() {
     let first = transcript();
     let second = transcript();
-    assert_eq!(first, second, "fibers: two runs disagree on the transcript");
+    assert_eq!(first, second, "two runs disagree on the transcript");
     assert!(
         !first.0.is_empty(),
         "the high-contention list must trigger at least one policy switch"
@@ -34,13 +28,5 @@ fn adaptive_switch_points_replay_across_runs_and_executors() {
         first.1.dominant_policy(),
         CmKind::Suicide,
         "the controller must escalate away from the initial policy"
-    );
-
-    std::env::set_var("TM_SIM_EXEC", "threads");
-    let threads = transcript();
-    std::env::remove_var("TM_SIM_EXEC");
-    assert_eq!(
-        first, threads,
-        "the switch transcript depends on the executor backend"
     );
 }

@@ -3,14 +3,13 @@
 //! The simulator promises bit-level determinism: the same configuration
 //! produces the same virtual clocks, the same commit/abort counts and the
 //! same cache statistics on every run, on every host, at every thread
-//! count — regardless of which executor backend (fibers or OS threads)
-//! carried the logical threads. The fast paths added for performance
-//! (solo mode, fiber hand-off, the cached thread-local clock, the
-//! exclusive-line cache shortcut, the generation-stamped STM tables) all
-//! argue they preserve this; here the claim is enforced end-to-end: run a
-//! synthetic exhibit and a STAMP application at 1 and 8 threads, twice
-//! each, and require the full `tm-run-report/v1` JSON to be byte-identical
-//! run-to-run *and* equal to a committed golden.
+//! count. The fast paths added for performance (solo mode, fiber
+//! hand-off, the cached thread-local clock, the exclusive-line cache
+//! shortcut, the generation-stamped STM tables) all argue they preserve
+//! this; here the claim is enforced end-to-end: run a synthetic exhibit and
+//! a STAMP application at 1 and 8 threads, twice each, and require the full
+//! `tm-run-report/v1` JSON to be byte-identical run-to-run *and* equal to a
+//! committed golden.
 //!
 //! If an intentional model change shifts the numbers, re-bless with
 //! `GOLDEN_BLESS=1 cargo test -p tm-bench --test determinism`.

@@ -8,8 +8,7 @@
 //! clean-cell artifact (verdicts, exploration counters) and every
 //! mutant-catalog artifact (including the shrunk minimal delay vectors)
 //! produced with checkpointing must equal its from-scratch twin — not
-//! merely semantically, but byte-identical as serialized reports — under
-//! both executor backends.
+//! merely semantically, but byte-identical as serialized reports.
 
 use tm_alloc::AllocatorKind;
 use tm_check::TransferProgram;
@@ -41,7 +40,7 @@ fn oracle_programs() -> Vec<(&'static str, McProgram)> {
 /// serialization fallback (the one with extra quiescence invariants).
 const CM_SAMPLE: [CmKind; 3] = [CmKind::Suicide, CmKind::BackoffExp, CmKind::Serialize];
 
-fn clean_reports(exec: &str) -> (String, SweepWork) {
+fn clean_reports() -> SweepWork {
     let ecfg = tm_mc::quick_clean_config(2);
     let mut checkpointed = McReport::new("equivalence");
     let mut scratch = McReport::new("equivalence");
@@ -67,26 +66,26 @@ fn clean_reports(exec: &str) -> (String, SweepWork) {
                     false,
                     &mut SweepWork::default(),
                 );
-                assert_eq!(ck.verdict, McVerdict::Clean, "[{exec}] {label} {ck:?}");
+                assert_eq!(ck.verdict, McVerdict::Clean, "{label} {ck:?}");
                 assert_eq!(
                     ck, fs,
-                    "[{exec}] checkpointed {label}/{backend:?}/{cm:?} cell \
-                     diverged from its from-scratch twin"
+                    "checkpointed {label}/{backend:?}/{cm:?} cell diverged \
+                     from its from-scratch twin"
                 );
                 checkpointed.cells.push(ck);
                 scratch.cells.push(fs);
             }
         }
     }
-    let (ck_json, fs_json) = (checkpointed.to_json_string(), scratch.to_json_string());
     assert_eq!(
-        ck_json, fs_json,
-        "[{exec}] serialized clean reports are not byte-identical"
+        checkpointed.to_json_string(),
+        scratch.to_json_string(),
+        "serialized clean reports are not byte-identical"
     );
-    (ck_json, work)
+    work
 }
 
-fn catalog_report(exec: &str, checkpoint: bool) -> (String, SweepWork) {
+fn catalog_report(checkpoint: bool) -> (String, SweepWork) {
     let mut report = McReport::new("catalog-equivalence");
     let mut work = SweepWork::default();
     for recipe in tm_mc::mutation_catalog() {
@@ -94,96 +93,48 @@ fn catalog_report(exec: &str, checkpoint: bool) -> (String, SweepWork) {
         assert_eq!(
             cell.verdict,
             McVerdict::Caught,
-            "[{exec}] {:?} escaped (checkpoint={checkpoint}): {:?}",
+            "{:?} escaped (checkpoint={checkpoint}): {:?}",
             recipe.bug,
             cell.counterexample
         );
         assert!(
             cell.counterexample.is_some(),
-            "[{exec}] caught mutant without a counterexample"
+            "caught mutant without a counterexample"
         );
         report.cells.push(cell);
     }
     (report.to_json_string(), work)
 }
 
-/// A single test function owns the process-global `TM_SIM_EXEC` variable
-/// (read once per `Sim::new`), so the two executor backends cannot race
-/// on it with another test.
 #[test]
 fn checkpointed_exploration_matches_from_scratch_everywhere() {
-    let mut per_exec = Vec::new();
-    for exec in ["fibers", "threads"] {
-        std::env::set_var("TM_SIM_EXEC", exec);
-
-        let (clean_json, work) = clean_reports(exec);
-        // The checkpointed sweep must actually have checkpointed: one
-        // root per clean cell. (Transfer-family seeding writes memory
-        // directly without scheduler events, so `replay_steps_saved`
-        // is legitimately 0 here; the catalog below covers it.)
-        let cells = (oracle_programs().len() * BackendKind::ALL.len() * CM_SAMPLE.len()) as u64;
-        assert_eq!(
-            work.checkpoints_taken, cells,
-            "[{exec}] expected one root checkpoint per clean cell"
-        );
-
-        // Full mutant catalog: caught, shrunk, and the minimal delay
-        // vectors byte-identical between the two execution strategies.
-        let (ck, ck_work) = catalog_report(exec, true);
-        let (fs, fs_work) = catalog_report(exec, false);
-        assert_eq!(
-            ck, fs,
-            "[{exec}] catalog verdicts or minimal counterexamples differ \
-             between checkpointed and from-scratch exploration"
-        );
-        // The AllocSwap mutant seeds its heap through the scheduler, so
-        // its restores skip real event replay — visible only on the
-        // checkpointed side.
-        assert!(
-            ck_work.replay_steps_saved > 0,
-            "[{exec}] restores saved no replay work"
-        );
-        assert_eq!(fs_work.replay_steps_saved, 0, "[{exec}] from-scratch");
-        assert_eq!(fs_work.checkpoints_taken, 0, "[{exec}] from-scratch");
-
-        per_exec.push((clean_json, ck));
-    }
-    std::env::remove_var("TM_SIM_EXEC");
-
-    let (fibers_clean, fibers_catalog) = &per_exec[0];
-    let (threads_clean, threads_catalog) = &per_exec[1];
+    let work = clean_reports();
+    // The checkpointed sweep must actually have checkpointed: one root per
+    // clean cell. (Transfer-family seeding writes memory directly without
+    // scheduler events, so `replay_steps_saved` is legitimately 0 here;
+    // the catalog below covers it.)
+    let cells = (oracle_programs().len() * BackendKind::ALL.len() * CM_SAMPLE.len()) as u64;
     assert_eq!(
-        fibers_clean, threads_clean,
-        "clean equivalence artifacts depend on the executor backend"
+        work.checkpoints_taken, cells,
+        "expected one root checkpoint per clean cell"
     );
-    // Catalog cells are compared structurally: the *detail* string of a
-    // panicking counterexample is executor-specific (the OS-thread
-    // backend reports std's generic scoped-thread payload), but the
-    // verdicts, exploration counters, and minimal delay vectors must
-    // agree.
-    let fc = parse_mc(fibers_catalog);
-    let tc = parse_mc(threads_catalog);
-    assert_eq!(fc.cells.len(), tc.cells.len());
-    for (f, t) in fc.cells.iter().zip(tc.cells.iter()) {
-        assert_eq!(f.config, t.config);
-        assert_eq!(f.verdict, t.verdict, "{:?}", f.config);
-        assert_eq!((f.explored, f.pruned), (t.explored, t.pruned));
-        let (fx, tx) = (f.counterexample.as_ref(), t.counterexample.as_ref());
-        let fx = fx.expect("caught mutant has a counterexample");
-        let tx = tx.expect("caught mutant has a counterexample");
-        assert_eq!(
-            fx.schedule, tx.schedule,
-            "minimal delay vector depends on the executor backend: {:?}",
-            f.config
-        );
-        assert_eq!(
-            (fx.found_at, fx.shrink_steps),
-            (tx.found_at, tx.shrink_steps)
-        );
-    }
-}
 
-fn parse_mc(json: &str) -> McReport {
-    let tree = tm_obs::json::Json::parse(json).expect("artifact is JSON");
-    McReport::from_json(&tree).expect("artifact parses as an mc report")
+    // Full mutant catalog: caught, shrunk, and the minimal delay vectors
+    // byte-identical between the two execution strategies.
+    let (ck, ck_work) = catalog_report(true);
+    let (fs, fs_work) = catalog_report(false);
+    assert_eq!(
+        ck, fs,
+        "catalog verdicts or minimal counterexamples differ between \
+         checkpointed and from-scratch exploration"
+    );
+    // The AllocSwap mutant seeds its heap through the scheduler, so its
+    // restores skip real event replay — visible only on the checkpointed
+    // side.
+    assert!(
+        ck_work.replay_steps_saved > 0,
+        "restores saved no replay work"
+    );
+    assert_eq!(fs_work.replay_steps_saved, 0, "from-scratch");
+    assert_eq!(fs_work.checkpoints_taken, 0, "from-scratch");
 }

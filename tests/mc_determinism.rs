@@ -4,11 +4,9 @@
 //! depth)` alone: the explorer runs fixed schedule sweeps over a
 //! deterministic simulation, so the full JSON — verdicts, exploration
 //! counters, and every shrunk counterexample delay vector — must be
-//! byte-identical run-to-run, equal to a committed golden, *and*
-//! independent of which executor backend (fibers or OS threads) carried
-//! the simulated threads. If an intentional model change shifts the
-//! numbers, re-bless with `GOLDEN_BLESS=1 cargo test -p tm-mc --test
-//! mc_determinism`.
+//! byte-identical run-to-run and equal to a committed golden. If an
+//! intentional model change shifts the numbers, re-bless with
+//! `GOLDEN_BLESS=1 cargo test -p tm-mc --test mc_determinism`.
 
 use tm_alloc::AllocatorKind;
 use tm_stm::{BackendKind, CmKind, InjectedBug};
@@ -59,15 +57,11 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
-/// A single test function owns the process-global `TM_SIM_EXEC` variable
-/// (read once per `Sim::new`), so the two executor backends cannot race
-/// on it with another test.
 #[test]
-fn mc_report_replays_across_runs_and_executors() {
-    std::env::set_var("TM_SIM_EXEC", "fibers");
+fn mc_report_replays_across_runs() {
     let first = mc_json();
     let second = mc_json();
-    assert_eq!(first, second, "fibers: two runs disagree on the report");
+    assert_eq!(first, second, "two runs disagree on the report");
     assert!(
         first.contains("tm-mc-report/v1"),
         "report schema changed: {first}"
@@ -76,14 +70,5 @@ fn mc_report_replays_across_runs_and_executors() {
         first.contains("\"caught\"") && first.contains("\"clean\""),
         "report lost its expected verdict mix: {first}"
     );
-
-    std::env::set_var("TM_SIM_EXEC", "threads");
-    let threads = mc_json();
-    std::env::remove_var("TM_SIM_EXEC");
-    assert_eq!(
-        first, threads,
-        "the mc report depends on the executor backend"
-    );
-
     check_golden("mc_determinism.json", &first);
 }
